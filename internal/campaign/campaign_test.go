@@ -1,10 +1,15 @@
 package campaign
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
+	"clocksync/internal/core"
+	"clocksync/internal/protocol"
 	"clocksync/internal/scenario"
+	"clocksync/internal/simtime"
 )
 
 // Every generated schedule must satisfy Definition 2 for the campaign's
@@ -132,5 +137,65 @@ func TestScenarioReplaysStandalone(t *testing.T) {
 	}
 	for _, v := range res.Violations {
 		t.Errorf("honest replay violated an invariant: %s", v)
+	}
+}
+
+// panicBehavior is an adversary whose break-in crashes the simulation.
+type panicBehavior struct{}
+
+func (panicBehavior) RespondTime(*protocol.Harness, int, simtime.Time) (simtime.Time, bool) {
+	return 0, false
+}
+func (panicBehavior) OnCorrupt(*protocol.Harness, simtime.Time) { panic("injected behavior panic") }
+func (panicBehavior) OnRelease(*protocol.Harness, simtime.Time) {}
+
+// TestPanickingRunContained: a 100-run campaign in which one run's adversary
+// Behavior panics finishes, and reports exactly that seed — with its family
+// — as the campaign's only error. The worker that hit the panic carries on
+// with a fresh simulator: every other run's verdict matches the same
+// campaign without the injection.
+func TestPanickingRunContained(t *testing.T) {
+	const target = 42
+	cfg := Config{Runs: 100, Seed: 1, Workers: 1, Mutate: loosenTrimming}
+	clean, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("campaign without injection: %v", err)
+	}
+	cfg.Mutate = func(c *core.Config, ctx scenario.BuildContext) {
+		loosenTrimming(c, ctx)
+		if h := ctx.Harness; ctx.Scenario.Seed == target && ctx.Index == 0 {
+			// Break in two minutes into the run: after warm-up, mid-run.
+			h.Sim().At(120, func() {
+				if !h.Faulty() {
+					h.Corrupt(panicBehavior{})
+				}
+			})
+		}
+	}
+	res, err := Run(cfg)
+	if err == nil {
+		t.Fatal("panicking run reported no error")
+	}
+	msg := err.Error()
+	if !strings.HasPrefix(msg, fmt.Sprintf("seed %d family generic: panic: injected behavior panic", target)) {
+		t.Errorf("error does not name the seed, family and panic first:\n%s", msg)
+	}
+	if n := strings.Count(msg, "family generic: panic"); n != 1 {
+		t.Errorf("%d panicking runs reported, want 1", n)
+	}
+	if res.Completed != cfg.Runs-1 {
+		t.Errorf("completed %d runs, want %d", res.Completed, cfg.Runs-1)
+	}
+	var want []Failure
+	for _, f := range clean.Failures {
+		if f.Seed != target {
+			want = append(want, f)
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("the loosened campaign produced no failures to compare")
+	}
+	if !reflect.DeepEqual(res.Failures, want) {
+		t.Errorf("runs after the panic diverged: %d failures, want %d", len(res.Failures), len(want))
 	}
 }

@@ -1,12 +1,20 @@
-// Package check is an online invariant checker for simulation runs: it
-// subscribes to the observability event stream and asserts, at every
-// adjustment event, the Theorem 5 guarantees the run is supposed to satisfy —
-// the deviation envelope over the good set, the per-step discontinuity bound,
-// and the Equation 3 accuracy envelope — plus, at scheduled checkpoints after
-// every release, the Lemma 7(iii)/Claim 8(iii) distance-halving of recovering
-// processors. The first violation is reported with full context (τ, node,
-// observed value vs. bound); experiments are eyeballed, campaigns are
-// machine-checked.
+// Package check is an online invariant checker: at every completed Sync
+// execution it asserts the Theorem 5 guarantees the run is supposed to
+// satisfy — the deviation envelope over the good set, the per-step
+// discontinuity bound, and the Equation 3 accuracy envelope — plus, at
+// scheduled checkpoints after every release, the Lemma 7(iii)/Claim 8(iii)
+// distance-halving of recovering processors. The first violation is reported
+// with full context (τ, node, observed value vs. bound); experiments are
+// eyeballed, campaigns are machine-checked.
+//
+// The per-round invariants have one evaluation function, Round, over the
+// instant, the adjusting node, its delta, and every processor's bias and
+// good-set membership at that instant. The simulator feeds it straight from
+// the metrics recorder's sample taken at the same adjustment (see
+// internal/scenario), so a checked run reads each clock and scans the
+// schedule once per instant and needs no observability stream. Emit is the
+// adapter for live harnesses (livenet's chaos runs): it turns a round event
+// into a Round call by reading the BiasSources into scratch the checker owns.
 //
 // Two bounds are deliberately not the literal OCR'd constants:
 //
@@ -116,11 +124,11 @@ type Config struct {
 	Limit int
 }
 
-// Checker evaluates the invariants online. It implements obs.Sink: attach it
-// to the run's Observer and it reacts to every round event; Attach schedules
-// the per-release recovery checkpoints on the simulator. The checker is
-// driven entirely from the single-threaded simulation loop and must not be
-// shared across runs.
+// Checker evaluates the invariants online. Round checks one completed Sync
+// execution; Emit adapts it to an obs.Sink for live harnesses; Attach
+// schedules the per-release recovery checkpoints on the simulator. The
+// checker is driven from one goroutine at a time and must not be shared
+// across runs.
 type Checker struct {
 	cfg   Config
 	slack float64
@@ -131,6 +139,11 @@ type Checker struct {
 
 	acc  []accStretch
 	recs []recoveryTrack
+
+	// biases and good are Emit's scratch: the BiasSources' readings and
+	// good-set membership at the event's instant.
+	biases []simtime.Duration
+	good   []bool
 }
 
 // accStretch is the per-node state of the O(1)-per-sample Equation 3
@@ -162,6 +175,8 @@ func New(cfg Config) *Checker {
 		c.limit = 64
 	}
 	c.acc = make([]accStretch, len(cfg.Clocks))
+	c.biases = make([]simtime.Duration, len(cfg.Clocks))
+	c.good = make([]bool, len(cfg.Clocks))
 	return c
 }
 
@@ -210,9 +225,24 @@ func (c *Checker) AttachScheduler(sim Scheduler) {
 	}
 }
 
-// Emit implements obs.Sink: every round event (one completed Sync execution,
-// clock already adjusted) triggers the deviation, per-step and accuracy
-// checks at that instant.
+// Round checks one completed Sync execution: node applied delta at now
+// (clock already adjusted), and biases and good hold every processor's bias
+// and Definition 3 good-set membership at that instant — a metrics.Sample's
+// Biases and Good. It asserts the per-step, deviation and accuracy
+// invariants; instants before SkipBefore are ignored. The slices are only
+// read during the call.
+func (c *Checker) Round(now simtime.Time, node int, delta simtime.Duration, biases []simtime.Duration, good []bool) {
+	if now < c.cfg.SkipBefore {
+		return
+	}
+	c.checkStep(now, node, delta, good)
+	c.checkDeviation(now, biases, good)
+	c.checkAccuracy(now, biases, good)
+}
+
+// Emit implements obs.Sink for live harnesses: every round event (one
+// completed Sync execution, clock already adjusted) reads each BiasSource
+// once and runs Round at that instant.
 func (c *Checker) Emit(e obs.Event) {
 	if e.Kind != obs.KindRound {
 		return
@@ -221,9 +251,11 @@ func (c *Checker) Emit(e obs.Event) {
 	if now < c.cfg.SkipBefore {
 		return
 	}
-	c.checkStep(now, e.Node, simtime.Duration(e.Fields["delta"]))
-	c.checkDeviation(now)
-	c.checkAccuracy(now)
+	for i, clk := range c.cfg.Clocks {
+		c.biases[i] = clk.Bias(now)
+		c.good[i] = c.isGood(i, now)
+	}
+	c.Round(now, e.Node, simtime.Duration(e.Fields["delta"]), c.biases, c.good)
 }
 
 // Violations returns the recorded breaches in detection order.
@@ -254,9 +286,9 @@ func (c *Checker) exceeds(observed, bound float64) bool {
 	return observed > bound*c.slack+1e-9
 }
 
-// good reports whether node was non-faulty throughout [now−Θ, now]
+// isGood reports whether node was non-faulty throughout [now−Θ, now]
 // (Definition 3's good set).
-func (c *Checker) good(node int, now simtime.Time) bool {
+func (c *Checker) isGood(node int, now simtime.Time) bool {
 	lookback := simtime.Interval{Lo: now.Add(-c.cfg.Theta), Hi: now}
 	return !c.cfg.Schedule.ControlledWithin(node, lookback)
 }
@@ -265,8 +297,8 @@ func (c *Checker) good(node int, now simtime.Time) bool {
 // Recovering processors are exempt by construction: a node corrupted within
 // the last Θ is not in the good set, and its WayOff jump is exactly the
 // recovery mechanism.
-func (c *Checker) checkStep(now simtime.Time, node int, delta simtime.Duration) {
-	if node < 0 || node >= len(c.cfg.Clocks) || !c.good(node, now) {
+func (c *Checker) checkStep(now simtime.Time, node int, delta simtime.Duration, good []bool) {
+	if node < 0 || node >= len(good) || !good[node] {
 		return
 	}
 	if d := delta.Abs(); c.exceeds(float64(d), float64(c.cfg.Bounds.MaxStep)) {
@@ -280,15 +312,15 @@ func (c *Checker) checkStep(now simtime.Time, node int, delta simtime.Duration) 
 
 // checkDeviation asserts Theorem 5(i) at this instant: the spread of the
 // good processors' logical clocks is at most Δ.
-func (c *Checker) checkDeviation(now simtime.Time) {
+func (c *Checker) checkDeviation(now simtime.Time, biases []simtime.Duration, good []bool) {
 	lo, hi := math.Inf(1), math.Inf(-1)
 	loNode, hiNode, goodCount := -1, -1, 0
-	for i, clk := range c.cfg.Clocks {
-		if !c.good(i, now) {
+	for i, g := range good {
+		if !g {
 			continue
 		}
 		goodCount++
-		b := float64(clk.Bias(now))
+		b := float64(biases[i])
 		if b < lo {
 			lo, loNode = b, i
 		}
@@ -312,19 +344,20 @@ func (c *Checker) checkDeviation(now simtime.Time) {
 // checkAccuracy advances the Equation 3 envelope state of every good
 // processor to this instant and asserts drawdown/runup stay within Δ.
 // Stretches restart whenever a processor leaves the good set.
-func (c *Checker) checkAccuracy(now simtime.Time) {
+func (c *Checker) checkAccuracy(now simtime.Time, biases []simtime.Duration, good []bool) {
 	rhoT := c.cfg.Bounds.LogicalDrift
 	bound := float64(c.cfg.Bounds.MaxDeviation)
 	tau := float64(now)
-	for i, clk := range c.cfg.Clocks {
+	lower, upper := tau/(1+rhoT), tau*(1+rhoT) // the rate lines at τ
+	for i, ok := range good {
 		st := &c.acc[i]
-		if !c.good(i, now) {
+		if !ok {
 			st.in = false
 			continue
 		}
-		cv := tau + float64(clk.Bias(now))
-		g := cv - tau/(1+rhoT)
-		h := cv - tau*(1+rhoT)
+		cv := tau + float64(biases[i])
+		g := cv - lower
+		h := cv - upper
 		if !st.in {
 			st.gMax, st.hMin, st.in = g, h, true
 			continue
@@ -347,8 +380,12 @@ func (c *Checker) checkAccuracy(now simtime.Time) {
 			st.in = false
 			continue
 		}
-		st.gMax = math.Max(st.gMax, g)
-		st.hMin = math.Min(st.hMin, h)
+		if g > st.gMax {
+			st.gMax = g
+		}
+		if h < st.hMin {
+			st.hMin = h
+		}
 	}
 }
 
@@ -401,7 +438,7 @@ func (c *Checker) recoveryCheckpoint(idx, k int, at simtime.Time) {
 func (c *Checker) distanceToGoodRange(node int, now simtime.Time) (dist float64, ok bool) {
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for i, clk := range c.cfg.Clocks {
-		if i == node || !c.good(i, now) {
+		if i == node || !c.isGood(i, now) {
 			continue
 		}
 		b := float64(clk.Bias(now))

@@ -1,6 +1,7 @@
 package check_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -172,5 +173,47 @@ func TestHonestScenarioWithRecoveryIsClean(t *testing.T) {
 	}
 	if !found {
 		t.Error("smashed node never recovered — scenario not exercising the checker's recovery path")
+	}
+}
+
+// TestRoundMatchesEmit: Emit is only an adapter — reading the clocks and
+// the schedule at the event's instant and calling Round — so feeding Round
+// the same readings and good set directly yields the same violations, in the
+// same order, for every invariant.
+func TestRoundMatchesEmit(t *testing.T) {
+	bounds := analysis.Bounds{Eps: 0.01, MaxStep: 0.1, MaxDeviation: 0.2, LogicalDrift: 1e-4}
+	offsets := []simtime.Duration{0, 0.5, 0.05, -0.3}
+	sched := adversary.Schedule{Corruptions: []adversary.Corruption{{Node: 2, From: 10, To: 20}}}
+	mk := func() (*check.Checker, []*clock.Local) {
+		clocks := make([]*clock.Local, len(offsets))
+		for i, b := range offsets {
+			clocks[i] = clock.NewLocal(clock.NewDrifting(0, simtime.Time(b), 1+float64(i)*1e-3))
+		}
+		return check.New(check.Config{Clocks: check.FromClocks(clocks), Schedule: sched, Bounds: bounds, Theta: 300}), clocks
+	}
+	viaEmit, _ := mk()
+	viaRound, clocks := mk()
+	biases := make([]simtime.Duration, len(clocks))
+	good := make([]bool, len(clocks))
+	for k := 0; k < 20; k++ {
+		at, node, delta := float64(100*k), k%len(clocks), 0.04*float64(k%5)
+		viaEmit.Emit(round(at, node, delta))
+		now := simtime.Time(at)
+		for i, c := range clocks {
+			biases[i] = c.Bias(now)
+			good[i] = !sched.ControlledWithin(i, simtime.Interval{Lo: now.Add(-300), Hi: now})
+		}
+		viaRound.Round(now, node, simtime.Duration(delta), biases, good)
+	}
+	got, want := viaRound.Violations(), viaEmit.Violations()
+	kinds := map[string]bool{}
+	for _, v := range want {
+		kinds[v.Invariant] = true
+	}
+	if !kinds[check.InvariantStep] || !kinds[check.InvariantDeviation] || !kinds[check.InvariantAccuracy] {
+		t.Fatalf("the scripted rounds do not trip every per-round invariant: %v", kinds)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Round and Emit disagree:\nRound: %v\nEmit:  %v", got, want)
 	}
 }

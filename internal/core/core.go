@@ -248,6 +248,7 @@ func partition(xs []float64, lo, hi int) int {
 type Stats struct {
 	Syncs          int // completed Sync executions
 	Skipped        int // executions skipped (faulty or no safe adjustment)
+	NoAdjust       int // of Skipped, executions that ran but found no safe adjustment (one obs.KindSkip event each)
 	WayOffTriggers int // executions that took the "ignore own clock" branch
 	LastDelta      simtime.Duration
 }
@@ -385,6 +386,7 @@ func (n *Node) finish(ests []protocol.Estimate) {
 	}
 	if !ok {
 		n.stats.Skipped++
+		n.stats.NoAdjust++
 		if rec := n.h.Obs.Recorder(); rec != nil {
 			rec.RoundsSkipped.Inc()
 			n.h.Obs.Emit(obs.Event{

@@ -111,6 +111,9 @@ type Harness struct {
 	// round timeout against firing into a later round.
 	roundMem estimationRound
 	roundGen uint64
+	// timeouts counts expired estimations — one per obs.KindTimeout event
+	// whether or not an observer is attached.
+	timeouts int
 
 	// Custom handles payloads other than TimeReq/TimeResp (round-based
 	// baselines exchange their own message types). Nil for Sync.
@@ -182,6 +185,9 @@ func (h *Harness) Clock() *clock.Local { return h.clk }
 
 // LocalNow returns C_p at the current simulation instant.
 func (h *Harness) LocalNow() simtime.Time { return h.clk.Now(h.sim.Now()) }
+
+// Timeouts returns how many estimations expired at MaxWait on this harness.
+func (h *Harness) Timeouts() int { return h.timeouts }
 
 // Faulty reports whether the processor is currently controlled by the
 // adversary.
@@ -390,6 +396,7 @@ func (h *Harness) sendPing(peer, idx int, done func(Estimate)) uint64 {
 // failPending expires one pending ping: it emits the timeout observations and
 // returns the failed estimate. The caller has already removed the nonce.
 func (h *Harness) failPending(peer int, p pendingPing) Estimate {
+	h.timeouts++
 	if rec := h.Obs.Recorder(); rec != nil {
 		rec.EstimationTimeouts.Inc()
 		h.Obs.Emit(obs.Event{

@@ -71,7 +71,13 @@ func ConvergenceFunction(b *testing.B) {
 // n-processor cluster (network, estimation, convergence, metrics) — the
 // simulator's scalability envelope. A single simulator is reused across
 // iterations, the same arena-recycling regime campaign workers run in.
-func ClusterMinute(b *testing.B, n int) {
+func ClusterMinute(b *testing.B, n int) { clusterMinute(b, n, false) }
+
+// CheckedClusterMinute is ClusterMinute with the online Theorem 5 checker
+// on, as every campaign run has it: the difference is the checker's cost.
+func CheckedClusterMinute(b *testing.B, n int) { clusterMinute(b, n, true) }
+
+func clusterMinute(b *testing.B, n int, check bool) {
 	sim := des.New(0)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -86,6 +92,7 @@ func ClusterMinute(b *testing.B, n int) {
 			Rho:      1e-4,
 			SyncInt:  10 * simtime.Second,
 			ReuseSim: sim,
+			Check:    check,
 		})
 		if err != nil {
 			b.Fatal(err)
