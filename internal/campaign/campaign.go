@@ -15,9 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
 
 	"clocksync/internal/adversary"
 	"clocksync/internal/check"
@@ -203,18 +200,13 @@ func Run(cfg Config) (*Result, error) {
 	res := &Result{Runs: cfg.Runs}
 	outcomes := make([]runOutcome, cfg.Runs)
 
-	var next atomic.Int64
-	work := func() {
+	scenario.RunPool(cfg.Runs, cfg.Workers-1, func() func(int) {
 		sim := des.New(0) // reset to each run's seed by scenario.Run
 		var col *conformance.Collector
 		if cfg.Conform {
 			col = &conformance.Collector{}
 		}
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= cfg.Runs {
-				return
-			}
+		return func(i int) {
 			seed := cfg.Seed + int64(i)
 			s := cfg.Scenario(seed)
 			s.ReuseSim = sim
@@ -223,16 +215,16 @@ func Run(cfg Config) (*Result, error) {
 				s.EventSink = col
 				s.SpanSink = col
 			}
-			r, panicked, err := runContained(s)
+			r, panicked, err := scenario.RunContained(s)
 			if panicked {
 				// The panic may have left the reused arena mid-run.
 				sim = des.New(0)
 				outcomes[i].err = fmt.Errorf("seed %d family %s: %w", seed, cfg.pickFamily(seed), err)
-				continue
+				return
 			}
 			if err != nil {
 				outcomes[i].err = fmt.Errorf("seed %d: %w", seed, err)
-				continue
+				return
 			}
 			outcomes[i].completed = true
 			if len(r.Violations) > 0 {
@@ -246,7 +238,7 @@ func Run(cfg Config) (*Result, error) {
 				})
 				if err != nil {
 					outcomes[i].err = fmt.Errorf("seed %d: conformance: %w", seed, err)
-					continue
+					return
 				}
 				outcomes[i].rounds = rep.Stats.Rounds
 				if len(rep.Violations) > 0 {
@@ -255,23 +247,7 @@ func Run(cfg Config) (*Result, error) {
 				}
 			}
 		}
-	}
-	maxHelpers := cfg.Workers - 1
-	if maxHelpers > cfg.Runs-1 {
-		maxHelpers = cfg.Runs - 1
-	}
-	helpers := des.AcquireWorkers(maxHelpers)
-	var wg sync.WaitGroup
-	for w := 0; w < helpers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work() // the caller is the implicit first worker
-	wg.Wait()
-	des.ReleaseWorkers(helpers)
+	})
 
 	// perFamily indexes res.PerFamily rows by canonical family name,
 	// pre-seeded in mix order so the breakdown is stable.
@@ -321,22 +297,4 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	return res, errors.Join(errs...)
-}
-
-// runContained runs one campaign scenario and turns a panic inside it into
-// that run's error (with the panicking goroutine's stack — for a shard event
-// of a sharded run, the stack des.ShardPanic carries), so one broken run
-// costs its seed, not the campaign.
-func runContained(s scenario.Scenario) (r *scenario.Result, panicked bool, err error) {
-	defer func() {
-		if pv := recover(); pv != nil {
-			stack := debug.Stack()
-			if sp, ok := pv.(*des.ShardPanic); ok {
-				pv, stack = sp.Value, sp.Stack
-			}
-			r, panicked, err = nil, true, fmt.Errorf("panic: %v\n%s", pv, stack)
-		}
-	}()
-	r, err = scenario.Run(s)
-	return r, false, err
 }

@@ -2,11 +2,14 @@ package scenario
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"clocksync/internal/core"
 	"clocksync/internal/des"
 	"clocksync/internal/simtime"
 )
@@ -242,6 +245,63 @@ func TestSweepMidFailureOrderingAndJoin(t *testing.T) {
 	for i, want := range []string{"seed 11", "seed 13"} {
 		if !strings.Contains(parts[i].Error(), want) {
 			t.Errorf("part %d = %q, want mention of %q", i, parts[i], want)
+		}
+	}
+}
+
+// TestSweepContainsPanic: a run that panics mid-simulation costs only its
+// own seed. The sweep reports that seed's error with the panic and its
+// stack, and every other seed's result equals the sweep without the panic —
+// so the worker that caught it went on with a simulator the panic did not
+// leave mid-run.
+func TestSweepContainsPanic(t *testing.T) {
+	const target = 23
+	seeds := []int64{20, 21, 22, 23, 24, 25, 26}
+	mk := func(inject bool) func(int64) Scenario {
+		return func(seed int64) Scenario {
+			s := baseScenario()
+			s.Duration = 3 * simtime.Minute
+			s.Check = true
+			s.Builder = SyncBuilder(func(_ *core.Config, ctx BuildContext) {
+				if inject && ctx.Scenario.Seed == target && ctx.Index == 0 {
+					// Mid-run, after warm-up: the arena holds pending events.
+					ctx.Harness.Sim().At(90, func() { panic("injected sweep panic") })
+				}
+			})
+			return s
+		}
+	}
+	clean, err := Sweep(mk(false), seeds)
+	if err != nil {
+		t.Fatalf("sweep without injection: %v", err)
+	}
+	got, err := Sweep(mk(true), seeds)
+	if err == nil {
+		t.Fatal("panicking seed reported no error")
+	}
+	msg := err.Error()
+	if !strings.HasPrefix(msg, fmt.Sprintf("seed %d: panic: injected sweep panic", target)) {
+		t.Errorf("error does not name the seed and the panic first:\n%s", msg)
+	}
+	if !strings.Contains(msg, "sweep_test.go") {
+		t.Errorf("error carries no stack of the panicking event:\n%s", msg)
+	}
+	if n := strings.Count(msg, "panic: "); n != 1 {
+		t.Errorf("%d panics reported, want 1", n)
+	}
+	for i, seed := range seeds {
+		if seed == target {
+			if got[i] != nil {
+				t.Errorf("panicking seed %d left a result", seed)
+			}
+			continue
+		}
+		if got[i] == nil {
+			t.Fatalf("seed %d lost its result", seed)
+		}
+		if !reflect.DeepEqual(got[i].Report, clean[i].Report) || got[i].MsgsSent != clean[i].MsgsSent ||
+			!reflect.DeepEqual(got[i].Violations, clean[i].Violations) {
+			t.Errorf("seed %d: result differs from the sweep without the panic", seed)
 		}
 	}
 }
