@@ -104,7 +104,7 @@ func BenchmarkE21SamplingScaling(b *testing.B) {
 }
 
 // Component microbenchmarks — the protocol's hot paths. The bodies live in
-// internal/simbench so cmd/benchsim can run the same code when recording the
+// internal/simbench so cmd/bench can run the same code when recording the
 // BENCH_sim.json baseline; simbench's tests pin the alloc budgets.
 
 // BenchmarkConvergenceFunction measures the Figure 1 convergence function

@@ -6,8 +6,8 @@ import (
 	"clocksync/internal/obs/obsbench"
 )
 
-// The benchmark bodies live in obsbench so cmd/benchobs can run the same
-// code when recording the BENCH_obs.json baseline.
+// The benchmark bodies live in obsbench so cmd/bench can run the same code
+// when recording the BENCH_obs.json baseline.
 
 func BenchmarkObserverDisabled(b *testing.B)     { obsbench.ObserverDisabled(b) }
 func BenchmarkObserverRing(b *testing.B)         { obsbench.ObserverRing(b) }

@@ -1,6 +1,6 @@
 // Package obsbench holds the observability benchmark bodies, shared between
-// `go test -bench` (internal/obs) and cmd/benchobs, which runs them
-// standalone and records the JSON baseline BENCH_obs.json.
+// `go test -bench` (internal/obs) and cmd/bench, which runs them standalone
+// and records the JSON baseline BENCH_obs.json.
 //
 // They measure the two costs the instrumentation design promises to control:
 // the disabled path (no sinks attached — the default for every simulation

@@ -1,6 +1,6 @@
 // Package servebench holds the time-serving benchmark bodies, shared between
-// `go test -bench` and cmd/benchserve, which runs them standalone and records
-// the JSON baseline BENCH_serve.json.
+// `go test -bench` and cmd/bench, which runs them standalone and records the
+// JSON baseline BENCH_serve.json.
 //
 // They cover the three layers a served reading crosses: the wait-free
 // in-process read (NodeRead — the path every co-located consumer and the

@@ -1,6 +1,6 @@
 // Package simbench holds the simulation-engine benchmark bodies, shared
-// between `go test -bench` (repository root) and cmd/benchsim, which runs
-// them standalone and records the JSON baseline BENCH_sim.json.
+// between `go test -bench` (repository root) and cmd/bench, which runs them
+// standalone and records the JSON baseline BENCH_sim.json.
 //
 // They cover the three hot paths every experiment and campaign bottoms out
 // in: the discrete-event queue (SimulatorEvents), the Figure 1 convergence
