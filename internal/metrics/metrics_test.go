@@ -104,9 +104,6 @@ func TestAdjustHookTracksDiscontinuity(t *testing.T) {
 	if math.Abs(float64(rep.MaxDiscontinuity)-0.07) > 1e-12 {
 		t.Fatalf("discontinuity: got %v, want 0.07", rep.MaxDiscontinuity)
 	}
-	if rec.AdjustCount(1) != 3 || rec.AdjustCount(0) != 0 {
-		t.Fatal("adjust counts wrong")
-	}
 }
 
 func TestDiscontinuityExcludesRecoveringProcessors(t *testing.T) {
@@ -243,9 +240,8 @@ func TestSeriesExtraction(t *testing.T) {
 	if math.Abs(devs[0]-1) > 1e-9 {
 		t.Fatalf("devs: %v", devs)
 	}
-	ts2, biases := rec.BiasSeries(1)
-	if len(ts2) != 2 || math.Abs(biases[0]-2) > 1e-9 {
-		t.Fatalf("bias series: %v %v", ts2, biases)
+	if b := rec.Samples()[0].Biases[1]; math.Abs(float64(b)-2) > 1e-9 {
+		t.Fatalf("sample bias of node 1: %v, want 2", b)
 	}
 }
 
